@@ -32,16 +32,16 @@ def normalize_rows(counts: np.ndarray,
     become uniform — the natural prior for a worker never observed on that
     true label.
     """
-    counts = np.asarray(counts, dtype=float)
+    counts = np.asarray(counts)
     if np.any(counts < 0):
         raise InvalidProbabilityError("confusion counts must be non-negative")
-    smoothed = counts + float(smoothing)
+    smoothed = np.array(counts, dtype=float)
+    smoothed += float(smoothing)
     sums = smoothed.sum(axis=-1, keepdims=True)
-    m = counts.shape[-1]
-    uniform = np.full(m, 1.0 / m)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        result = np.where(sums > 0, smoothed / np.where(sums == 0, 1, sums), uniform)
-    return result
+    positive = sums > 0
+    smoothed /= np.where(positive, sums, 1.0)
+    np.copyto(smoothed, 1.0 / counts.shape[-1], where=~positive)
+    return smoothed
 
 
 def rank_one_distance(confusion: np.ndarray) -> float:
@@ -57,10 +57,25 @@ def rank_one_distance(confusion: np.ndarray) -> float:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidProbabilityError(
             f"confusion matrix must be square, got shape {matrix.shape}")
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    if singular.size <= 1:
-        return 0.0
-    return float(np.sqrt(np.sum(singular[1:] ** 2)))
+    return float(rank_one_distances(matrix[None])[0])
+
+
+def rank_one_distances(confusions: np.ndarray) -> np.ndarray:
+    """:func:`rank_one_distance` of every matrix of a ``(W, m, m)`` stack.
+
+    One stacked SVD instead of ``W`` calls; each entry is bit-for-bit the
+    single-matrix score (LAPACK factorises every matrix of the stack on
+    its own).
+    """
+    stack = np.asarray(confusions, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise InvalidProbabilityError(
+            "confusion stack must be (W, m, m), got shape "
+            f"{stack.shape}")
+    if stack.shape[1] <= 1 or not stack.shape[0]:
+        return np.zeros(stack.shape[0])
+    singular = np.linalg.svd(stack, compute_uv=False)
+    return np.sqrt(np.sum(singular[:, 1:] ** 2, axis=1))
 
 
 def error_rate(confusion: np.ndarray,
@@ -72,12 +87,24 @@ def error_rate(confusion: np.ndarray,
     labels (uniform when ``priors`` is ``None``).
     """
     matrix = np.asarray(confusion, dtype=float)
-    m = matrix.shape[0]
+    return float(error_rates(matrix[None], priors)[0])
+
+
+def error_rates(confusions: np.ndarray,
+                priors: np.ndarray | None = None) -> np.ndarray:
+    """:func:`error_rate` of every matrix of a ``(W, m, m)`` stack.
+
+    The prior-weighted sum is a product followed by a row sum, so each
+    entry is bit-for-bit the single-matrix rate (a matrix–vector product
+    or ``einsum`` may round differently).
+    """
+    stack = np.asarray(confusions, dtype=float)
+    m = stack.shape[-1]
     if priors is None:
         priors = np.full(m, 1.0 / m)
     priors = np.asarray(priors, dtype=float)
-    per_label_error = 1.0 - np.diag(matrix)
-    return float(np.dot(priors, per_label_error))
+    per_label_error = 1.0 - np.diagonal(stack, axis1=-2, axis2=-1)
+    return np.sum(per_label_error * priors, axis=-1)
 
 
 def accuracy(confusion: np.ndarray,

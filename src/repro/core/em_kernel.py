@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.confusion import PROB_FLOOR, normalize_rows
@@ -86,13 +87,14 @@ class EncodedAnswers:
         return int(self.object_index.size)
 
     def __getstate__(self) -> dict:
-        # The memoized kernel plan and CSR view (see kernel_plan /
-        # csr_view) double the pickled payload of every process-executor
-        # task; workers re-derive them from the same memoization in one
-        # pass, so never ship them.
+        # The memoized kernel plan, CSR view and answer operator (see
+        # kernel_plan / csr_view / _answer_operator) double the pickled
+        # payload of every process-executor task; workers re-derive them
+        # from the same memoization in one pass, so never ship them.
         state = self.__dict__.copy()
         state.pop("_kernel_plan", None)
         state.pop("_csr_view", None)
+        state.pop("_answer_operator", None)
         return state
 
 
@@ -1214,3 +1216,284 @@ def run_em(encoded: EncodedAnswers,
     return EMResult(assignment=assignment, confusions=confusions,
                     priors=priors, n_iterations=iterations,
                     converged=converged)
+
+
+# ----------------------------------------------------------------------
+# Lock-step look-ahead driver
+# ----------------------------------------------------------------------
+#: Working-set budget of one lock-step chunk of :func:`run_em_batch`, in
+#: bytes (see :func:`batch_chunk_size`). A chunk's arrays are rewritten
+#: every iteration; the per-iteration overhead a chunk shares is roughly
+#: ten hypotheses' worth of scatter work at 100–120 objects. This budget
+#: holds 9–10 such hypotheses; twice the budget solved ~30% faster per
+#: hypothesis there but raised a whole run's peak RSS by ~150 KiB.
+BATCH_BYTES = 1 << 17
+
+
+@dataclass(frozen=True)
+class EMBatchResult:
+    """Final states of the ``H`` hypotheses of one :func:`run_em_batch`.
+
+    Hypothesis ``h`` owns index ``h`` of every array; each slice holds the
+    exact floats :func:`run_em` returns for that hypothesis alone.
+
+    Attributes
+    ----------
+    assignments:
+        ``(H, n, m)`` stack of assignment matrices ``U``.
+    confusions:
+        ``(H, k, m, m)`` stack of confusion-matrix stacks.
+    priors:
+        ``(H, m)`` label priors.
+    n_iterations:
+        ``(H,)`` E/M iterations executed per hypothesis.
+    converged:
+        ``(H,)`` whether each hypothesis reached the tolerance before the
+        iteration cap.
+    """
+
+    assignments: np.ndarray
+    confusions: np.ndarray
+    priors: np.ndarray
+    n_iterations: np.ndarray
+    converged: np.ndarray
+
+
+def batch_chunk_size(encoded: EncodedAnswers) -> int:
+    """Hypotheses per :func:`run_em_batch` call under :data:`BATCH_BYTES`
+    (at least one)."""
+    n, k, m = encoded.n_objects, encoded.n_workers, encoded.n_labels
+    per_hypothesis = 8 * 4 * (n * m + k * m * m)
+    return max(1, BATCH_BYTES // per_hypothesis)
+
+
+def run_em_batch(encoded: EncodedAnswers,
+                 initial_assignment: np.ndarray,
+                 validated_objects: np.ndarray | None,
+                 validated_labels: np.ndarray | None,
+                 clamp_objects: np.ndarray,
+                 clamp_labels: np.ndarray,
+                 *,
+                 max_iter: int = DEFAULT_MAX_ITER,
+                 tol: float = DEFAULT_TOL,
+                 smoothing: float = DEFAULT_SMOOTHING) -> EMBatchResult:
+    """Solve ``H`` clamped hypotheses over one encoding in lock-step.
+
+    Hypothesis ``h`` is the :func:`run_em` call that starts from
+    ``initial_assignment`` with the shared ``validated_objects`` clamped to
+    ``validated_labels`` and, in addition, object ``clamp_objects[h]``
+    clamped to ``clamp_labels[h]`` (overriding a shared validation of the
+    same object) — one look-ahead hypothesis of Eq. 8. All hypotheses
+    iterate together: the assignment and confusion stacks, clamping,
+    ``log(clip(·))``, priors, normalisation and the ``max |ΔU|`` test run
+    once per iteration over the whole batch, and a hypothesis retires as
+    soon as it converges. The two scatters are sparse products over the
+    whole batch (see :func:`_answer_operator`) that add every accumulator
+    cell's terms in the order the plan path's ``np.bincount`` adds them,
+    so each hypothesis gets exactly the floats its serial ``run_em``
+    (float64 plan path) would — whatever the other hypotheses of the
+    batch. Working memory grows with ``H``; callers cut long hypothesis
+    lists into batches of :func:`batch_chunk_size`.
+
+    ``encoded`` must be sorted by object, as :func:`encode_answers`,
+    :meth:`AnswerStats.encoded` and :func:`block_subencoding` all emit it.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if validated_objects is None:
+        validated_objects = np.empty(0, dtype=np.int64)
+    if validated_labels is None:
+        validated_labels = np.empty(0, dtype=np.int64)
+    clamp_objects = np.asarray(clamp_objects, dtype=np.int64).ravel()
+    clamp_labels = np.asarray(clamp_labels, dtype=np.int64).ravel()
+    if clamp_objects.shape != clamp_labels.shape:
+        raise ValueError(
+            f"clamp objects/labels shapes differ: {clamp_objects.shape} "
+            f"vs {clamp_labels.shape}")
+    n, k, m = encoded.n_objects, encoded.n_workers, encoded.n_labels
+    slots = np.arange(clamp_objects.size)
+    result = EMBatchResult(
+        assignments=np.empty((slots.size, n, m)),
+        confusions=np.empty((slots.size, k, m, m)),
+        priors=np.empty((slots.size, m)),
+        n_iterations=np.zeros(slots.size, dtype=np.int64),
+        converged=np.zeros(slots.size, dtype=bool))
+    if not slots.size:
+        return result
+    operator = _answer_operator(encoded)
+
+    def clamp(stack: np.ndarray) -> np.ndarray:
+        if validated_objects.size:
+            stack[validated_objects] = 0.0
+            stack[validated_objects, validated_labels] = 1.0
+        columns = np.arange(stack.shape[-1])
+        stack[clamp_objects, :, columns] = 0.0
+        stack[clamp_objects, clamp_labels, columns] = 1.0
+        return stack
+
+    # The stacks keep hypotheses on their last axis — assignments
+    # (n, m, h), confusions (k, m_l, m_r, h), priors (m, h) — so that a
+    # flattened stack is the dense operand of the operator's products.
+    # Column i holds hypothesis slots[i]; converged hypotheses are copied
+    # out and the stacks compacted, so retired columns cost nothing.
+    initial = np.asarray(initial_assignment, dtype=np.float64)
+    assignments = clamp(np.repeat(initial[:, :, None], slots.size, axis=2))
+    confusions = _m_step_batch(operator, assignments, smoothing)
+    priors = _priors_batch(assignments)
+    for iteration in range(1, max_iter + 1):
+        new_assignments = clamp(_e_step_batch(operator, confusions, priors))
+        change = new_assignments - assignments
+        delta = np.abs(change, out=change).reshape(-1, slots.size).max(
+            axis=0, initial=0.0)
+        del change
+        assignments = new_assignments
+        confusions = _m_step_batch(operator, assignments, smoothing)
+        priors = _priors_batch(assignments)
+        result.n_iterations[slots] = iteration
+        done = delta < tol
+        if iteration == max_iter:
+            done[:] = True
+        elif not done.any():
+            continue
+        retired = slots[done]
+        result.assignments[retired] = assignments[..., done].transpose(
+            2, 0, 1)
+        result.confusions[retired] = confusions[..., done].transpose(
+            3, 0, 2, 1)
+        result.priors[retired] = priors[:, done].T
+        result.converged[retired] = delta[done] < tol
+        if done.all():
+            break
+        keep = ~done
+        slots = slots[keep]
+        clamp_objects = clamp_objects[keep]
+        clamp_labels = clamp_labels[keep]
+        assignments = assignments[..., keep]
+        confusions = confusions[..., keep]
+        priors = priors[:, keep]
+    return result
+
+
+def _answer_operator(encoded: EncodedAnswers,
+                     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """The (memoized) answer indicator ``T`` and its transpose.
+
+    ``T`` is ``n × k·m`` with a one at ``(o, w·m + l)`` for every answer
+    ``(o, w, l)``. The lock-step driver keeps hypotheses on the last axis
+    of its stacks and confusions with the true label next to it —
+    ``(k, m_l, m_r, h)`` — so both scatters of an iteration are one
+    sparse product for the whole chunk: the E-step's log-likelihood rows
+    are ``T @ log F`` and the M-step's counts are ``Tᵀ @ U``. scipy's CSR
+    product adds each output cell's terms one by one from zero, in the
+    order the row's entries are stored (multiplying by one is exact).
+    Stored in answer order, those are exactly the terms the plan path's
+    ``np.bincount`` adds, in the same order, so every hypothesis gets the
+    plan path's floats.
+    """
+    operator = encoded.__dict__.get("_answer_operator")
+    if operator is not None:
+        return operator
+    n, k, m = encoded.n_objects, encoded.n_workers, encoded.n_labels
+    objects = encoded.object_index
+    if np.any(objects[1:] < objects[:-1]):
+        raise ValueError("run_em_batch needs an object-sorted encoding")
+    dtype = index_dtype(n, k, m, encoded.n_answers)
+    cells = (encoded.worker_index.astype(dtype) * m
+             + encoded.label_index.astype(dtype))
+    forward = _csr(objects, cells, n, k * m, dtype)
+    # Tᵀ in CSR form too (rows by cell, stable so each row keeps answer
+    # order): one sparse kernel serves both products.
+    order = np.argsort(cells, kind="stable")
+    backward = _csr(cells[order], objects[order], k * m, n, dtype)
+    operator = (forward, backward)
+    object.__setattr__(encoded, "_answer_operator", operator)
+    return operator
+
+
+def _csr(rows: np.ndarray, columns: np.ndarray, n_rows: int, n_columns: int,
+         dtype: np.dtype) -> sparse.csr_matrix:
+    """0/1 CSR matrix from row-sorted ``(row, column)`` pairs, kept in order."""
+    indptr = np.zeros(n_rows + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return sparse.csr_matrix(
+        (np.ones(columns.size), columns.astype(dtype, copy=False), indptr),
+        shape=(n_rows, n_columns))
+
+
+def _m_step_batch(operator: tuple, assignments: np.ndarray,
+                  smoothing: float) -> np.ndarray:
+    """:func:`m_step` (float64 plan path) of a chunk: ``(n, m, h)``
+    assignments → ``(k, m_l, m_r, h)`` confusions."""
+    n, m, h = assignments.shape
+    _, backward = operator
+    counts = (backward @ assignments.reshape(n, m * h)).reshape(-1, m, m, h)
+    if smoothing > 0 and backward.nnz:
+        counts += np.float64(smoothing)
+        counts /= _label_sum(counts, axis=1)
+        return counts
+    # normalize_rows sums its last axis; hand it contiguous label rows so
+    # that the sum runs as it does on the plan path's (k, m, m) counts.
+    rows = np.ascontiguousarray(np.moveaxis(counts, 1, -1))
+    return np.moveaxis(normalize_rows(rows, smoothing=smoothing), -1, 1)
+
+
+def _e_step_batch(operator: tuple, confusions: np.ndarray,
+                  priors: np.ndarray) -> np.ndarray:
+    """:func:`e_step` (float64 plan path) of a chunk: ``(k, m_l, m_r, h)``
+    confusions and ``(m, h)`` priors → ``(n, m, h)`` assignments."""
+    m, h = priors.shape
+    forward, _ = operator
+    # np.clip(x, floor, None) is np.maximum(x, floor).
+    log_conf = np.maximum(confusions, PROB_FLOOR)
+    np.log(log_conf, out=log_conf)
+    log_like = (forward @ log_conf.reshape(-1, m * h)).reshape(-1, m, h)
+    del log_conf
+    log_like += np.log(np.maximum(priors, PROB_FLOOR))
+    log_like -= _label_max(log_like, axis=1)
+    np.exp(log_like, out=log_like)
+    log_like /= _label_sum(log_like, axis=1)
+    return log_like
+
+
+def _priors_batch(assignments: np.ndarray) -> np.ndarray:
+    """:func:`estimate_priors` of a chunk: ``(n, m, h)`` → ``(m, h)``."""
+    n, m, h = assignments.shape
+    if n == 0:
+        return np.full((m, h), 1.0 / m)
+    # Summed over the outer (object) axis, as estimate_priors sums its
+    # (n, m) array: numpy adds such a reduction object by object.
+    priors = assignments.sum(axis=0) / n
+    np.maximum(priors, PROB_FLOOR, out=priors)
+    priors /= _label_sum(priors, axis=0)
+    return priors
+
+
+#: Rows shorter than this are summed strictly left to right by numpy's
+#: reductions (its pairwise summation only starts blocking at eight
+#: terms). Below it the lock-step driver adds the label slices itself —
+#: the same floats, without the per-row cost of a reduction over a tiny
+#: axis, which dominated the batched E-step.
+_SEQUENTIAL_SUM = 8
+
+
+def _label_sum(stack: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over the label ``axis`` (keepdims), bit-for-bit as numpy sums
+    a contiguous row of the labels."""
+    m = stack.shape[axis]
+    if m >= _SEQUENTIAL_SUM:
+        rows = np.ascontiguousarray(np.moveaxis(stack, axis, -1))
+        return np.moveaxis(rows.sum(axis=-1, keepdims=True), -1, axis)
+    head = (slice(None),) * axis
+    total = stack[head + (slice(0, 1),)].copy()
+    for label in range(1, m):
+        total += stack[head + (slice(label, label + 1),)]
+    return total
+
+
+def _label_max(stack: np.ndarray, axis: int) -> np.ndarray:
+    """Maximum over the label ``axis`` (keepdims); a maximum is exact."""
+    head = (slice(None),) * axis
+    top = stack[head + (slice(0, 1),)].copy()
+    for label in range(1, stack.shape[axis]):
+        np.maximum(top, stack[head + (slice(label, label + 1),)], out=top)
+    return top

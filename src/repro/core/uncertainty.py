@@ -24,10 +24,14 @@ def entropy_of_distribution(probabilities: np.ndarray) -> float:
 
 
 def object_entropies(assignment: np.ndarray) -> np.ndarray:
-    """Per-object entropies ``H(o)`` for an ``n × m`` assignment matrix (Eq. 6)."""
+    """Per-object entropies ``H(o)`` for an ``n × m`` assignment matrix (Eq. 6).
+
+    A stack of assignments (``(..., n, m)``) gives the stack of per-object
+    entropies (``(..., n)``), each row bit-for-bit equal to its own call.
+    """
     clipped = np.clip(assignment, _ENTROPY_FLOOR, 1.0)
     terms = np.where(assignment > 0, assignment * np.log(clipped), 0.0)
-    return -terms.sum(axis=1)
+    return -terms.sum(axis=-1)
 
 
 def answer_set_uncertainty(prob_set: ProbabilisticAnswerSet) -> float:

@@ -12,12 +12,14 @@ Because one selection requires ``O(|candidates| × m)`` i-EM invocations,
 the cost controls mirror — and extend — the paper's implementation notes
 (§5.4):
 
-* **shared-encoding look-ahead**: the flat answer encoding, its kernel
-  plan, the ``log(clip(...))`` of the current model, and the warm-start
-  E-step are all computed **once per selection** and threaded through
-  every hypothetical solve, instead of being rebuilt ``O(n·k)``-style
-  inside each ``conclude``;
-* an :class:`~repro.parallel.executor.Executor` can fan candidates out over
+* **lock-step look-ahead**: the flat answer encoding, the warm-start
+  E-step and the solver's sparse answer operator are computed **once per
+  selection**; the ``(candidate, label)`` hypotheses that pass
+  ``label_floor`` are then solved together, a chunk at a time, by
+  :func:`~repro.core.em_kernel.run_em_batch`, which iterates the whole
+  chunk at once and gives every hypothesis exactly the floats of its own
+  ``run_em``. The entropies are folded back into Eq. 8 in label order;
+* an :class:`~repro.parallel.executor.Executor` can fan the chunks out over
   threads or processes;
 * ``candidate_limit`` optionally prunes candidates to the top-K by object
   entropy before the expensive look-ahead (an implementation choice
@@ -28,11 +30,15 @@ the cost controls mirror — and extend — the paper's implementation notes
   :func:`~repro.core.em_kernel.block_subencoding` machinery that drives
   :class:`~repro.streaming.ShardedRefresher` block refreshes — instead of
   running global EM, trading the exact Eq. 8 expectation for block-local
-  cost on large sparse answer sets.
+  cost on large sparse answer sets. Each block has its own encoding, so
+  this mode solves its hypotheses one ``run_em`` at a time.
 
 The default exact mode reproduces the rebuild-per-conclude selection
-choices bit-for-bit: it feeds identical floats (same encoding, same warm
-start, same clamps) to the same kernel.
+choices bit-for-bit: every hypothesis sees identical floats (same
+encoding, same warm start, same clamps, same summation order) as a fresh
+``conclude`` would. Each select reports how many hypothetical solves it
+ran, their total iterations, and how many hit the iteration cap, on its
+``guidance.select`` span and in the ``em.lookahead.*`` counters.
 """
 
 from __future__ import annotations
@@ -104,16 +110,14 @@ def information_gain(prob_set: ProbabilisticAnswerSet,
                                          label_floor, encoded=encoded))
 
 
-class _SharedLookahead:
-    """Picklable per-candidate scorer over one shared encoding/plan.
+class _Lookahead:
+    """Shared parts of the two look-ahead scorers.
 
-    Everything invariant across the ``|candidates| × m`` hypothetical
-    solves is computed once at construction: the flat encoding, its kernel
-    plan, the clipped logs of the current model, and the warm-start E-step
-    (the look-ahead ``conclude``'s initial assignment does not depend on
-    the hypothesis — clamping happens inside ``run_em``). Each call is
-    then ``m`` clamped ``run_em`` invocations and nothing else, producing
-    floats identical to the rebuild-per-conclude path.
+    :meth:`score` turns a candidate list into the expected posterior
+    entropies ``H(P | o)`` of Eq. 8, plus the iteration count and
+    convergence flag of every hypothetical solve it ran (candidate-major,
+    label-minor). Labels whose belief is below ``label_floor`` are not
+    solved; their mass keeps the current entropy.
     """
 
     def __init__(self, prob_set: ProbabilisticAnswerSet,
@@ -128,34 +132,93 @@ class _SharedLookahead:
         self.max_iter = max_iter
         self.tol = tol
         self.smoothing = smoothing
-        plan = em_kernel.kernel_plan(encoded)
-        log_conf = np.log(np.clip(prob_set.confusions, PROB_FLOOR, None))
-        log_priors = np.log(np.clip(prob_set.priors, PROB_FLOOR, None))
-        self.initial = em_kernel.e_step(
-            encoded, prob_set.confusions, prob_set.priors, plan=plan,
-            log_confusions=log_conf, log_priors=log_priors)
 
-    def __call__(self, obj: int) -> float:
-        beliefs = self.assignment[obj]
-        hypothetical = self.validated.copy()
-        expected = 0.0
-        for label, weight in enumerate(beliefs):
-            if weight < self.label_floor:
-                expected += weight * self.current_entropy
-                continue
-            hypothetical[obj] = label
-            validated_objects = np.flatnonzero(hypothetical != MISSING)
-            result = em_kernel.run_em(
-                self.encoded, self.initial,
-                validated_objects, hypothetical[validated_objects],
-                max_iter=self.max_iter, tol=self.tol,
-                smoothing=self.smoothing)
-            expected += weight * float(
-                object_entropies(result.assignment).sum())
+    def _expected(self, candidates: np.ndarray,
+                  entropies: np.ndarray) -> np.ndarray:
+        """Fold per-hypothesis entropies into ``H(P | o)`` per candidate.
+
+        The sum runs over labels in ascending order, adding
+        ``weight × entropy`` term by term — the same float operations as
+        :func:`expected_posterior_entropy`.
+        """
+        expected = np.empty(candidates.size)
+        solved = iter(entropies.tolist())
+        for index, obj in enumerate(candidates):
+            total = 0.0
+            for weight in self.assignment[obj]:
+                if weight < self.label_floor:
+                    total += weight * self.current_entropy
+                else:
+                    total += weight * next(solved)
+            expected[index] = total
         return expected
 
 
-class _LocalizedLookahead:
+class _SharedLookahead(_Lookahead):
+    """Lock-step scorer of a whole candidate list over one encoding.
+
+    Everything invariant across the ``|candidates| × m`` hypothetical
+    solves is computed once per selection: the flat encoding, the
+    solver's sparse answer operator, and the warm-start E-step (the
+    look-ahead ``conclude``'s initial assignment does not depend on the
+    hypothesis — clamping happens inside the solver). :meth:`score`
+    enumerates the hypotheses, cuts them into chunks of
+    :func:`~repro.core.em_kernel.batch_chunk_size`, and solves each chunk
+    with one :func:`~repro.core.em_kernel.run_em_batch` call (the
+    executor maps over chunks). Each hypothesis gets exactly the floats
+    of its own ``run_em``, so scores match the rebuild-per-conclude path
+    bit-for-bit.
+    """
+
+    def __init__(self, prob_set: ProbabilisticAnswerSet,
+                 encoded: em_kernel.EncodedAnswers,
+                 label_floor: float, current_entropy: float,
+                 max_iter: int, tol: float, smoothing: float) -> None:
+        super().__init__(prob_set, encoded, label_floor, current_entropy,
+                         max_iter, tol, smoothing)
+        self.validated_objects = np.flatnonzero(self.validated != MISSING)
+        self.validated_labels = self.validated[self.validated_objects]
+        # The reference scatter (bit-for-bit the plan path's) spares
+        # building a kernel plan for this one E-step.
+        self.initial = em_kernel.e_step(encoded, prob_set.confusions,
+                                        prob_set.priors)
+
+    def hypotheses(self, candidates: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The solved ``(object, label)`` pairs, candidate- then label-major."""
+        # ``not weight < floor`` rather than ``weight >= floor``: the fold
+        # in ``_expected`` skips exactly the labels the comparison skips.
+        solved = ~(self.assignment[candidates] < self.label_floor)
+        rows, labels = np.nonzero(solved)
+        return candidates[rows], labels
+
+    def __call__(self, chunk: tuple[np.ndarray, np.ndarray],
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entropies, iterations and convergence of one hypothesis chunk."""
+        objects, labels = chunk
+        result = em_kernel.run_em_batch(
+            self.encoded, self.initial,
+            self.validated_objects, self.validated_labels, objects, labels,
+            max_iter=self.max_iter, tol=self.tol, smoothing=self.smoothing)
+        entropies = object_entropies(result.assignments).sum(axis=1)
+        return entropies, result.n_iterations, result.converged
+
+    def score(self, candidates: np.ndarray, executor: Executor,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        objects, labels = self.hypotheses(candidates)
+        size = em_kernel.batch_chunk_size(self.encoded)
+        chunks = [(objects[start:start + size], labels[start:start + size])
+                  for start in range(0, objects.size, size)]
+        # No hypothesis passes the floor only if the floor exceeds every
+        # belief of every candidate.
+        parts = executor.map(self, chunks) or [
+            (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, bool))]
+        entropies, iterations, converged = (
+            np.concatenate(column) for column in zip(*parts))
+        return self._expected(candidates, entropies), iterations, converged
+
+
+class _LocalizedLookahead(_Lookahead):
     """Block-local per-candidate scorer (the opt-in ``"local"`` mode).
 
     For candidate ``o``, the hypothetical validation is propagated only
@@ -168,23 +231,19 @@ class _LocalizedLookahead:
     costs EM over the block's answers instead of all ``A`` answers — the
     independent-blocks approximation the paper's partitioning already
     embraces (§5.4); when the neighborhood spans the whole matrix it
-    degenerates to the exact solve.
+    degenerates to the exact solve. Each block has its own encoding, so
+    the executor maps over candidates and each hypothesis runs serially
+    through :func:`~repro.core.em_kernel.run_em`.
     """
 
     def __init__(self, prob_set: ProbabilisticAnswerSet,
                  encoded: em_kernel.EncodedAnswers,
                  label_floor: float, current_entropy: float,
                  max_iter: int, tol: float, smoothing: float) -> None:
-        self.assignment = prob_set.assignment
+        super().__init__(prob_set, encoded, label_floor, current_entropy,
+                         max_iter, tol, smoothing)
         self.confusions = prob_set.confusions
         self.priors = prob_set.priors
-        self.validated = prob_set.validation.as_array()
-        self.encoded = encoded
-        self.label_floor = label_floor
-        self.current_entropy = current_entropy
-        self.max_iter = max_iter
-        self.tol = tol
-        self.smoothing = smoothing
         self.log_conf = np.log(np.clip(prob_set.confusions, PROB_FLOOR,
                                        None))
         self.log_priors = np.log(np.clip(prob_set.priors, PROB_FLOOR, None))
@@ -205,7 +264,8 @@ class _LocalizedLookahead:
             self._csr.worker_positions(int(w)) for w in workers])
         return np.unique(self.encoded.object_index[positions])
 
-    def __call__(self, obj: int) -> float:
+    def __call__(self, obj: int) -> list[tuple[float, int, bool]]:
+        """``(entropy, iterations, converged)`` of each solved label."""
         objects = self._neighborhood(obj)
         sub, workers = block_subencoding(self.encoded, objects,
                                          object_starts=self._object_starts)
@@ -218,11 +278,9 @@ class _LocalizedLookahead:
                            - float(self.base_entropies[objects].sum()))
         block_validated = self.validated[objects]
         local_obj = int(np.searchsorted(objects, obj))
-        beliefs = self.assignment[obj]
-        expected = 0.0
-        for label, weight in enumerate(beliefs):
+        solves = []
+        for label, weight in enumerate(self.assignment[obj]):
             if weight < self.label_floor:
-                expected += weight * self.current_entropy
                 continue
             hypothetical = block_validated.copy()
             hypothetical[local_obj] = label
@@ -232,9 +290,20 @@ class _LocalizedLookahead:
                 validated_objects, hypothetical[validated_objects],
                 max_iter=self.max_iter, tol=self.tol,
                 smoothing=self.smoothing, plan=plan)
-            expected += weight * (entropy_of_rest + float(
-                object_entropies(result.assignment).sum()))
-        return expected
+            solves.append((entropy_of_rest + float(
+                object_entropies(result.assignment).sum()),
+                result.n_iterations, result.converged))
+        return solves
+
+    def score(self, candidates: np.ndarray, executor: Executor,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        solves = [solve for per_candidate in
+                  executor.map(self, [int(c) for c in candidates])
+                  for solve in per_candidate]
+        entropies = np.array([s[0] for s in solves], dtype=float)
+        iterations = np.array([s[1] for s in solves], dtype=np.int64)
+        converged = np.array([s[2] for s in solves], dtype=bool)
+        return self._expected(candidates, entropies), iterations, converged
 
 
 class InformationGainStrategy(GuidanceStrategy):
@@ -315,11 +384,21 @@ class InformationGainStrategy(GuidanceStrategy):
                 tol=context.aggregator.tol,
                 smoothing=context.aggregator.smoothing,
             )
-            posterior_entropies = np.array(
-                self.executor.map(scorer, [int(c) for c in candidates]))
+            posterior_entropies, iterations, converged = scorer.score(
+                candidates, self.executor)
             gains = current_entropy - posterior_entropies
             choice = argmax_with_ties(gains, candidates, context.rng)
+            solves = int(iterations.size)
+            total_iterations = int(iterations.sum())
+            capped = int(np.count_nonzero(~converged))
             span.set("candidates_scored", int(candidates.size))
+            span.set("lookahead_solves", solves)
+            span.set("lookahead_iterations", total_iterations)
+            span.set("lookahead_capped", capped)
             span.set("object_index", choice)
+        telemetry = context.telemetry
+        telemetry.counter("em.lookahead.solves").inc(solves)
+        telemetry.counter("em.lookahead.iterations").inc(total_iterations)
+        telemetry.counter("em.lookahead.nonconverged").inc(capped)
         return Selection(object_index=choice, strategy=self.name,
                          scores=gains, candidate_indices=candidates)

@@ -25,9 +25,9 @@ import numpy as np
 
 from repro.core.answer_set import AnswerSet
 from repro.core.confusion import (
-    error_rate,
+    error_rates,
     normalize_rows,
-    rank_one_distance,
+    rank_one_distances,
     validated_answer_counts,
     validated_confusion_counts,
 )
@@ -154,17 +154,21 @@ class SpammerDetector:
 
         Split out so worker-driven guidance can evaluate hypothetical
         validations (Eq. 12) without re-scanning the answer matrix: it
-        increments the counts of the workers who answered the candidate
-        object and calls this directly.
+        stacks the incremented counts of the workers who answered the
+        candidate objects, under every hypothetical label, into a few
+        calls. The rows are independent, so a stack of many hypotheses
+        scores exactly as the hypotheses would one by one. The workers
+        with evidence are scored by one stacked SVD.
         """
         k = counts.shape[0]
         confusions = normalize_rows(counts, smoothing=self.smoothing)
         scores = np.full(k, np.inf)
         errors = np.zeros(k)
         has_evidence = evidence >= max(self.min_validated, 1)
-        for w in np.flatnonzero(has_evidence):
-            scores[w] = rank_one_distance(confusions[w])
-            errors[w] = error_rate(confusions[w], priors)
+        if has_evidence.any():
+            scored = confusions[has_evidence]
+            scores[has_evidence] = rank_one_distances(scored)
+            errors[has_evidence] = error_rates(scored, priors)
         spammer_mask = scores < self.tau_s
         sloppy_mask = errors > self.tau_p
         return DetectionResult(
